@@ -1,5 +1,7 @@
 //! [`MemDisk`]: a perfect in-memory disk with a mechanical timing model.
 
+use std::sync::Arc;
+
 use iron_core::{Block, BlockAddr, BlockTag, IoKind, SimClock};
 
 use crate::device::{BlockDevice, DiskError, DiskResult, RawAccess};
@@ -28,8 +30,14 @@ pub struct DiskStats {
 /// Every request advances the shared [`SimClock`] according to the
 /// [`DiskGeometry`] service-time model and appends to the shared
 /// [`IoTrace`].
+///
+/// The medium is copy-on-write at block granularity: each block is a
+/// shared buffer, [`MemDisk::snapshot`] shares every buffer with its
+/// parent, and a write replaces only the one buffer it lands on (in place
+/// when this disk is its sole holder, by installing a fresh one when
+/// another disk still shares it). No disk ever observes another's writes.
 pub struct MemDisk {
-    blocks: Vec<Block>,
+    blocks: Vec<Arc<Block>>,
     geometry: DiskGeometry,
     clock: SimClock,
     trace: IoTrace,
@@ -49,10 +57,12 @@ pub struct MemDisk {
 }
 
 impl MemDisk {
-    /// Create a disk of `num_blocks` zeroed blocks.
+    /// Create a disk of `num_blocks` zeroed blocks, all sharing one zero
+    /// buffer until written.
     pub fn new(num_blocks: u64, geometry: DiskGeometry, clock: SimClock) -> Self {
+        let zero = Arc::new(Block::zeroed());
         MemDisk {
-            blocks: (0..num_blocks).map(|_| Block::zeroed()).collect(),
+            blocks: vec![zero; num_blocks as usize],
             geometry,
             clock,
             trace: IoTrace::new(),
@@ -69,9 +79,16 @@ impl MemDisk {
         MemDisk::new(num_blocks, DiskGeometry::instant(), SimClock::new())
     }
 
-    /// A deep copy of the medium with fresh clock, trace, and statistics —
-    /// the fingerprinting campaign stamps one golden image per file system
-    /// and snapshots it for every (workload × block type × fault) cell.
+    /// An independent disk with the same contents and a fresh clock,
+    /// trace, and statistics — the fingerprinting campaign stamps one
+    /// golden image per file system and snapshots it for every (workload
+    /// × block type × fault) cell; the crash harness snapshots its base
+    /// image for every crash state.
+    ///
+    /// Costs one pointer copy per block: the snapshot shares every block
+    /// buffer with `self`, and whichever disk writes a shared block first
+    /// gets a private copy of it (see the type docs). Writes to either
+    /// disk are never visible through the other.
     pub fn snapshot(&self) -> MemDisk {
         MemDisk {
             blocks: self.blocks.clone(),
@@ -104,6 +121,17 @@ impl MemDisk {
     /// The geometry in use.
     pub fn geometry(&self) -> DiskGeometry {
         self.geometry
+    }
+
+    /// Store `block` at `addr`: copied into the existing buffer when this
+    /// disk holds it alone, otherwise into a fresh buffer that replaces
+    /// the shared one.
+    fn store(&mut self, addr: BlockAddr, block: &Block) {
+        let slot = &mut self.blocks[addr.0 as usize];
+        match Arc::get_mut(slot) {
+            Some(own) => own.copy_from_slice(&block[..]),
+            None => *slot = Arc::new(block.clone()),
+        }
     }
 
     fn check_range(&self, addr: BlockAddr) -> DiskResult<()> {
@@ -194,7 +222,7 @@ impl BlockDevice for MemDisk {
         self.check_range(addr)?;
         self.charge(addr, false);
         self.stats.reads += 1;
-        let block = self.blocks[addr.0 as usize].clone();
+        let block = Block::clone(&self.blocks[addr.0 as usize]);
         self.trace
             .record(IoKind::Read, addr, tag, IoOutcome::Ok, self.clock.now_ns());
         Ok(block)
@@ -204,7 +232,7 @@ impl BlockDevice for MemDisk {
         self.check_range(addr)?;
         self.charge(addr, true);
         self.stats.writes += 1;
-        self.blocks[addr.0 as usize] = block.clone();
+        self.store(addr, block);
         self.trace
             .record(IoKind::Write, addr, tag, IoOutcome::Ok, self.clock.now_ns());
         Ok(())
@@ -243,11 +271,11 @@ impl BlockDevice for MemDisk {
 
 impl RawAccess for MemDisk {
     fn peek(&self, addr: BlockAddr) -> Block {
-        self.blocks[addr.0 as usize].clone()
+        Block::clone(&self.blocks[addr.0 as usize])
     }
 
     fn poke(&mut self, addr: BlockAddr, block: &Block) {
-        self.blocks[addr.0 as usize] = block.clone();
+        self.store(addr, block);
     }
 }
 
@@ -423,6 +451,93 @@ mod tests {
         assert_eq!(events[0].kind, IoKind::Read);
         assert_eq!(events[1].tag, BlockTag("j-commit"));
         assert_eq!(events[1].outcome, IoOutcome::Ok);
+    }
+
+    const _: () = {
+        const fn shareable<T: Send + Sync>() {}
+        shareable::<MemDisk>();
+    };
+
+    fn buffer(d: &MemDisk, addr: u64) -> *const Block {
+        Arc::as_ptr(&d.blocks[addr as usize])
+    }
+
+    #[test]
+    fn new_disk_reads_back_zeros_from_one_shared_buffer() {
+        let mut d = MemDisk::for_tests(32);
+        for a in 0..32 {
+            assert!(d.read(BlockAddr(a)).unwrap().is_zeroed());
+            assert_eq!(buffer(&d, a), buffer(&d, 0), "block {a} not shared");
+        }
+        // The first write to a block unshares only that block.
+        d.write(BlockAddr(7), &Block::filled(1)).unwrap();
+        assert_ne!(buffer(&d, 7), buffer(&d, 0));
+        assert!(d.peek(BlockAddr(6)).is_zeroed());
+        assert!(d.peek(BlockAddr(8)).is_zeroed());
+    }
+
+    #[test]
+    fn parent_and_snapshot_writes_are_mutually_invisible() {
+        let mut parent = MemDisk::for_tests(8);
+        parent.write(BlockAddr(1), &Block::filled(1)).unwrap();
+        let mut snap = parent.snapshot();
+        assert_eq!(buffer(&snap, 1), buffer(&parent, 1), "snapshot shares");
+
+        parent.write(BlockAddr(1), &Block::filled(2)).unwrap();
+        assert_eq!(snap.peek(BlockAddr(1)), Block::filled(1));
+        snap.poke(BlockAddr(2), &Block::filled(3));
+        assert!(parent.peek(BlockAddr(2)).is_zeroed());
+        snap.write(BlockAddr(1), &Block::filled(4)).unwrap();
+        assert_eq!(parent.peek(BlockAddr(1)), Block::filled(2));
+        assert_eq!(snap.peek(BlockAddr(1)), Block::filled(4));
+    }
+
+    #[test]
+    fn snapshot_of_snapshot_is_independent_of_both_ancestors() {
+        let mut a = MemDisk::for_tests(4);
+        a.poke(BlockAddr(0), &Block::filled(1));
+        let mut b = a.snapshot();
+        b.poke(BlockAddr(1), &Block::filled(2));
+        let mut c = b.snapshot();
+        assert_eq!(c.peek(BlockAddr(0)), Block::filled(1));
+        assert_eq!(c.peek(BlockAddr(1)), Block::filled(2));
+
+        c.poke(BlockAddr(0), &Block::filled(9));
+        a.poke(BlockAddr(1), &Block::filled(8));
+        b.poke(BlockAddr(2), &Block::filled(7));
+        assert_eq!(a.peek(BlockAddr(0)), Block::filled(1));
+        assert_eq!(b.peek(BlockAddr(0)), Block::filled(1));
+        assert_eq!(b.peek(BlockAddr(1)), Block::filled(2));
+        assert_eq!(c.peek(BlockAddr(1)), Block::filled(2));
+        assert!(c.peek(BlockAddr(2)).is_zeroed());
+        assert!(a.peek(BlockAddr(2)).is_zeroed());
+    }
+
+    #[test]
+    fn write_after_last_sharer_drops_lands_in_place() {
+        let mut d = MemDisk::for_tests(4);
+        d.poke(BlockAddr(2), &Block::filled(1));
+        d.poke(BlockAddr(3), &Block::filled(1));
+        let owned = buffer(&d, 2);
+        d.write(BlockAddr(2), &Block::filled(2)).unwrap();
+        assert_eq!(buffer(&d, 2), owned, "sole holder writes in place");
+
+        let snap = d.snapshot();
+        d.poke(BlockAddr(2), &Block::filled(3));
+        let private = buffer(&d, 2);
+        assert_ne!(private, owned, "shared buffer is replaced, not mutated");
+        assert_eq!(snap.peek(BlockAddr(2)), Block::filled(2));
+
+        // Block 3 is still shared with the snapshot; once it is gone the
+        // buffer is this disk's alone and is overwritten in place.
+        let shared = buffer(&d, 3);
+        drop(snap);
+        d.write(BlockAddr(3), &Block::filled(4)).unwrap();
+        assert_eq!(buffer(&d, 3), shared);
+        d.poke(BlockAddr(2), &Block::filled(5));
+        assert_eq!(buffer(&d, 2), private);
+        assert_eq!(d.peek(BlockAddr(3)), Block::filled(4));
+        assert_eq!(d.peek(BlockAddr(2)), Block::filled(5));
     }
 
     #[test]

@@ -59,7 +59,7 @@ fn enumerated_crash_images_of_cluster_workload_recover_cleanly() {
     iron_ixt3::mkfs(&mut golden, Ext3Params::small(), IronConfig::full()).unwrap();
     let layout = {
         let sb = Superblock::decode(&golden.peek(BlockAddr(0))).unwrap();
-        DiskLayout::compute(sb.params())
+        DiskLayout::compute(sb.params()).unwrap()
     };
 
     let log = WriteLog::new();

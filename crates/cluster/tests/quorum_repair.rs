@@ -31,7 +31,7 @@ fn golden_ixt3() -> (MemDisk, u64, DiskLayout) {
     v.umount().unwrap();
     let golden = v.into_fs().into_device();
     let sb = Superblock::decode(&golden.peek(BlockAddr(0))).unwrap();
-    let layout = DiskLayout::compute(sb.params());
+    let layout = DiskLayout::compute(sb.params()).unwrap();
     (golden, ino, layout)
 }
 

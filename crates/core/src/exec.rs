@@ -26,6 +26,7 @@
 //! `(mode, row, col)` key.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::thread;
 
 /// A boxed pipelined job (see [`WorkerPool::run_jobs`]).
@@ -139,19 +140,31 @@ impl WorkerPool {
     }
 
     /// Run independent jobs concurrently (the pipelining primitive) and
-    /// return their results in submission order. With one thread the
-    /// jobs run sequentially, in order, on the calling thread.
+    /// return their results in submission order. At most
+    /// [`Self::threads`] jobs run at once: jobs are items of
+    /// [`Self::shard_fine`], claimed one at a time in submission order.
+    /// With one thread the jobs run sequentially, in order, on the calling
+    /// thread.
     pub fn run_jobs<'env, R: Send>(&self, jobs: Vec<Job<'env, R>>) -> Vec<R> {
-        if self.threads == 1 {
-            return jobs.into_iter().map(|j| j()).collect();
-        }
-        thread::scope(|s| {
-            let handles: Vec<_> = jobs.into_iter().map(|j| s.spawn(j)).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pool job panicked"))
-                .collect()
-        })
+        let slots: Vec<(usize, Mutex<Option<Job<'env, R>>>)> = jobs
+            .into_iter()
+            .map(|j| Mutex::new(Some(j)))
+            .enumerate()
+            .collect();
+        let mut done: Vec<(usize, R)> = self.shard_fine(
+            &slots,
+            |acc: &mut Vec<(usize, R)>, (i, slot)| {
+                let job = slot
+                    .lock()
+                    .expect("job slot poisoned")
+                    .take()
+                    .expect("each job is claimed once");
+                acc.push((*i, job()));
+            },
+            |out, shard| out.extend(shard),
+        );
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 }
 
@@ -159,6 +172,7 @@ impl WorkerPool {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+    use std::sync::Barrier;
 
     #[test]
     fn shard_visits_every_item_exactly_once() {
@@ -230,6 +244,37 @@ mod tests {
                 .map(|i| Box::new(move || i * 10) as Job<'_, usize>)
                 .collect();
             assert_eq!(pool.run_jobs(jobs), vec![0, 10, 20, 30, 40, 50]);
+        }
+    }
+
+    #[test]
+    fn run_jobs_never_exceeds_the_pool_width() {
+        // 12 jobs divide evenly into gangs of every width below, so the
+        // barrier (which holds each job until `threads` are in flight)
+        // always releases: the peak must be exactly the width.
+        for threads in [1, 2, 3, 4] {
+            let pool = WorkerPool::new(threads);
+            let gang = Barrier::new(threads);
+            let running = AtomicUsize::new(0);
+            let high_water = AtomicUsize::new(0);
+            let jobs: Vec<Job<'_, usize>> = (0..12usize)
+                .map(|i| {
+                    let (gang, running, high_water) = (&gang, &running, &high_water);
+                    Box::new(move || {
+                        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                        high_water.fetch_max(now, Ordering::SeqCst);
+                        gang.wait();
+                        running.fetch_sub(1, Ordering::SeqCst);
+                        i
+                    }) as Job<'_, usize>
+                })
+                .collect();
+            assert_eq!(pool.run_jobs(jobs), (0..12).collect::<Vec<_>>());
+            assert_eq!(
+                high_water.load(Ordering::SeqCst),
+                threads,
+                "threads={threads}: concurrency must reach but never exceed the width"
+            );
         }
     }
 

@@ -63,11 +63,14 @@ fn main() {
             r.tag
         );
     }
-    let disk = materialize(&base, &snap, spec);
+    let image = materialize(&base, &snap, spec);
     let rlog = WriteLog::new();
     let env = FsEnv::new();
     eprintln!("mounting...");
-    let mounted = fs.mount_crash(CrashRecorder::with_log(disk, rlog.clone()), env.clone());
+    let mounted = fs.mount_crash(
+        CrashRecorder::with_log(image.snapshot(), rlog.clone()),
+        env.clone(),
+    );
     for e in env.klog.entries() {
         eprintln!("  klog: {e:?}");
     }
@@ -114,7 +117,7 @@ fn main() {
     for e in env.klog.entries() {
         eprintln!("  klog: {e:?}");
     }
-    let post = apply_all(materialize(&base, &snap, spec), &rlog.snapshot());
+    let post = apply_all(image, &rlog.snapshot());
     if let Some(issues) = fs.fsck_issues(&post) {
         eprintln!("fsck issues: {issues:?}");
     }

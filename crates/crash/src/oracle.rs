@@ -201,10 +201,12 @@ pub fn check_image(
         detail,
     };
 
-    // Recovery: mount the image (journal replay runs here), walk, unmount.
-    let disk = materialize(base, log, spec);
+    // Recovery: mount a snapshot of the image (journal replay runs here),
+    // walk, unmount. The image itself stays pristine for reconstruction.
+    let image = materialize(base, log, spec);
     let rlog = WriteLog::new();
-    let tree = match fs.mount_crash(CrashRecorder::with_log(disk, rlog.clone()), FsEnv::new()) {
+    let recorder = CrashRecorder::with_log(image.snapshot(), rlog.clone());
+    let tree = match fs.mount_crash(recorder, FsEnv::new()) {
         Err(e) => {
             out.push(viol(
                 OracleKind::FsckClean,
@@ -239,7 +241,7 @@ pub fn check_image(
     };
 
     // The recovered, cleanly-unmounted medium: image + recovery's writes.
-    let post = apply_all(materialize(base, log, spec), &rlog.snapshot());
+    let post = apply_all(image, &rlog.snapshot());
 
     // (a) Offline check finds nothing after recovery.
     if let Some(issues) = fs.fsck_issues(&post) {
@@ -391,10 +393,7 @@ pub fn check_image(
     // (d) Idempotence: a second mount of the recovered medium changes
     // nothing user-visible.
     let rlog2 = WriteLog::new();
-    match fs.mount_crash(
-        CrashRecorder::with_log(post.snapshot(), rlog2),
-        FsEnv::new(),
-    ) {
+    match fs.mount_crash(CrashRecorder::with_log(post, rlog2), FsEnv::new()) {
         Err(e) => out.push(viol(
             OracleKind::Idempotence,
             format!("second recovery mount failed: {e:?}"),

@@ -106,7 +106,7 @@ fn every_crash_image_across_the_degradation_transition_recovers_clean() {
         // Offline check of the post-recovery medium.
         let post = apply_all(img, &rlog.snapshot());
         let sb = iron_ext3::Superblock::decode(&post.peek(BlockAddr(0))).expect("valid superblock");
-        let layout = iron_ext3::DiskLayout::compute(sb.params());
+        let layout = iron_ext3::DiskLayout::compute(sb.params()).expect("valid geometry");
         let report = iron_ext3::fsck::check(&post, &layout);
         assert!(
             report.issues.is_empty(),

@@ -6,18 +6,26 @@
 //! cache holds *clean* copies only; dirty metadata lives in the running
 //! journal transaction until checkpoint.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use iron_core::{Block, BlockAddr};
 
 struct Entry {
     block: Block,
     last_used: u64,
+    /// This entry's key in the recency index (≤ `last_used`).
+    indexed: u64,
 }
 
-/// A capacity-bounded read cache with approximate-LRU eviction.
+/// A capacity-bounded read cache with exact-LRU eviction.
 pub struct BufferCache {
     map: HashMap<u64, Entry>,
+    /// Recency index, tick → address, one key per entry. Every operation
+    /// takes a fresh tick, so keys are unique. A hit only bumps the
+    /// entry's `last_used`; eviction re-files entries whose key went
+    /// stale until the first key is current, which makes it the exact
+    /// least-recently-used entry without scanning the map.
+    index: BTreeMap<u64, u64>,
     capacity: usize,
     tick: u64,
     hits: u64,
@@ -29,6 +37,7 @@ impl BufferCache {
     pub fn new(capacity: usize) -> Self {
         BufferCache {
             map: HashMap::new(),
+            index: BTreeMap::new(),
             capacity: capacity.max(1),
             tick: 0,
             hits: 0,
@@ -56,28 +65,46 @@ impl BufferCache {
     /// if over capacity.
     pub fn insert(&mut self, addr: BlockAddr, block: Block) {
         self.tick += 1;
-        if self.map.len() >= self.capacity && !self.map.contains_key(&addr.0) {
-            if let Some((&victim, _)) = self.map.iter().min_by_key(|(_, e)| e.last_used) {
-                self.map.remove(&victim);
-            }
+        if let Some(e) = self.map.get_mut(&addr.0) {
+            e.block = block;
+            e.last_used = self.tick;
+            return;
         }
-        self.map.insert(
-            addr.0,
-            Entry {
-                block,
-                last_used: self.tick,
-            },
-        );
+        if self.map.len() >= self.capacity {
+            self.evict_lru();
+        }
+        let entry = Entry {
+            block,
+            last_used: self.tick,
+            indexed: self.tick,
+        };
+        self.map.insert(addr.0, entry);
+        self.index.insert(self.tick, addr.0);
+    }
+
+    fn evict_lru(&mut self) {
+        while let Some((key, addr)) = self.index.pop_first() {
+            let e = self.map.get_mut(&addr).expect("indexed entry is cached");
+            if e.last_used == key {
+                self.map.remove(&addr);
+                return;
+            }
+            e.indexed = e.last_used;
+            self.index.insert(e.last_used, addr);
+        }
     }
 
     /// Drop one block (e.g. after it was invalidated by recovery).
     pub fn invalidate(&mut self, addr: BlockAddr) {
-        self.map.remove(&addr.0);
+        if let Some(e) = self.map.remove(&addr.0) {
+            self.index.remove(&e.indexed);
+        }
     }
 
     /// Drop everything.
     pub fn clear(&mut self) {
         self.map.clear();
+        self.index.clear();
     }
 
     /// (hits, misses) counters.
@@ -140,5 +167,50 @@ mod tests {
         c.insert(BlockAddr(1), Block::filled(2));
         assert_eq!(c.get(BlockAddr(1)), Some(Block::filled(2)));
         assert_eq!(c.len(), 1);
+    }
+
+    /// The recency index evicts exactly what a full scan for the least
+    /// recently used entry would, over a long mixed get/insert/invalidate
+    /// sequence that keeps the cache full.
+    #[test]
+    fn eviction_matches_a_full_scan_model() {
+        let mut c = BufferCache::new(8);
+        // Model: addr → last-used tick, the victim found by scanning.
+        let mut model: HashMap<u64, u64> = HashMap::new();
+        let mut tick = 0u64;
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let addr = x % 24;
+            tick += 1;
+            match (x >> 32) % 8 {
+                0..=3 => {
+                    let hit = c.get(BlockAddr(addr)).is_some();
+                    assert_eq!(hit, model.contains_key(&addr), "get {addr}");
+                    if let Some(t) = model.get_mut(&addr) {
+                        *t = tick;
+                    }
+                }
+                4..=6 => {
+                    if model.len() >= 8 && !model.contains_key(&addr) {
+                        let (&victim, _) = model.iter().min_by_key(|(_, &t)| t).unwrap();
+                        model.remove(&victim);
+                    }
+                    model.insert(addr, tick);
+                    c.insert(BlockAddr(addr), Block::filled(addr as u8));
+                }
+                _ => {
+                    model.remove(&addr);
+                    c.invalidate(BlockAddr(addr));
+                }
+            }
+            assert_eq!(c.len(), model.len());
+        }
+        for addr in 0..24 {
+            let expect = model.contains_key(&addr).then(|| Block::filled(addr as u8));
+            assert_eq!(c.get(BlockAddr(addr)), expect, "final {addr}");
+        }
     }
 }

@@ -257,9 +257,10 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     /// Format a device. Writes every static structure: superblock (+ its
     /// never-updated per-group replicas), GDT, journal superblock, bitmaps,
     /// inode tables, the root directory, the checksum table, and — when
-    /// `params.mirror_metadata` — the metadata mirror.
+    /// `params.mirror_metadata` — the metadata mirror. Parameters that
+    /// admit no layout fail with `EINVAL`.
     pub fn mkfs(dev: &mut D, params: Ext3Params) -> VfsResult<()> {
-        let layout = DiskLayout::compute(params);
+        let layout = DiskLayout::compute(params).map_err(|_| Errno::EINVAL)?;
         let mut written: Vec<(u64, Block)> = Vec::new();
         let mut push = |addr: u64, b: Block| written.push((addr, b));
 
@@ -445,7 +446,16 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                 }
             }
         };
-        let layout = DiskLayout::compute(sb.params());
+        // The geometry is as untrusted as the rest of the superblock: one
+        // that admits no layout, or does not fit the device, fails the
+        // mount like an undecodable superblock.
+        let layout = DiskLayout::for_device(sb.params(), dev.num_blocks()).map_err(|e| {
+            env.klog.error(
+                "ext3",
+                format!("bad superblock geometry: {e}; mount failed"),
+            );
+            Errno::EUCLEAN
+        })?;
 
         let mut fs = Ext3Fs {
             dev,

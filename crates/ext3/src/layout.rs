@@ -16,6 +16,8 @@
 //! notes "these copies are never updated after file system creation and
 //! hence are not useful" (`PAPER-BUG`, preserved).
 
+use std::fmt;
+
 use iron_core::{BlockAddr, BlockTag, BLOCK_SIZE};
 
 /// Inode size on disk, bytes.
@@ -233,38 +235,128 @@ pub struct DiskLayout {
 /// Checksum entry size on disk (8-byte truncated SHA-1).
 pub const CKSUM_ENTRY: u64 = 8;
 
+/// Most block groups the format can describe: the group descriptor table
+/// is a single block of 8-byte entries.
+const MAX_GROUPS: u64 = (BLOCK_SIZE / 8) as u64;
+
+/// Most blocks (or inodes) one group can hold: each group's data and
+/// inode bitmaps are a single block.
+const MAX_PER_GROUP: u64 = (BLOCK_SIZE * 8) as u64;
+
+/// Why a set of [`Ext3Params`] admits no layout — a corrupt superblock's
+/// geometry, or impossible formatting parameters.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LayoutError {
+    /// A geometry field is outside what the on-disk format can represent.
+    BadField {
+        /// The offending field.
+        field: &'static str,
+        /// Its value.
+        value: u64,
+    },
+    /// The fixed regions leave no room for one block group.
+    TooSmall {
+        /// Blocks available to the file system proper.
+        fs_blocks: u64,
+        /// Blocks the fixed regions plus one group need.
+        needed: u64,
+    },
+    /// More groups than the group descriptor table can describe.
+    TooManyGroups {
+        /// Groups the geometry implies.
+        groups: u64,
+    },
+    /// The superblock claims more blocks than the device holds.
+    ExceedsDevice {
+        /// Blocks the superblock claims.
+        total_blocks: u64,
+        /// Blocks the device holds.
+        device_blocks: u64,
+    },
+}
+
+impl fmt::Display for LayoutError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LayoutError::BadField { field, value } => {
+                write!(f, "geometry field {field} = {value} is out of range")
+            }
+            LayoutError::TooSmall { fs_blocks, needed } => write!(
+                f,
+                "device too small for one block group ({fs_blocks} blocks, {needed} needed)"
+            ),
+            LayoutError::TooManyGroups { groups } => write!(
+                f,
+                "{groups} block groups exceed the descriptor table's {MAX_GROUPS}"
+            ),
+            LayoutError::ExceedsDevice {
+                total_blocks,
+                device_blocks,
+            } => write!(
+                f,
+                "superblock claims {total_blocks} blocks, device has {device_blocks}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for LayoutError {}
+
 impl DiskLayout {
-    /// Compute the layout for the given parameters.
-    ///
-    /// # Panics
-    /// Panics if the device is too small to hold at least one block group.
-    pub fn compute(params: Ext3Params) -> DiskLayout {
+    /// Compute the layout for the given parameters, or say why none
+    /// exists. Every parameter may come from an untrusted superblock, so
+    /// all arithmetic is checked.
+    pub fn compute(params: Ext3Params) -> Result<DiskLayout, LayoutError> {
+        let bad = |field, value| LayoutError::BadField { field, value };
+        if params.inodes_per_group == 0 || params.inodes_per_group > MAX_PER_GROUP {
+            return Err(bad("inodes_per_group", params.inodes_per_group));
+        }
+        let itable_blocks = params.inodes_per_group.div_ceil(INODES_PER_BLOCK);
+        // Two bitmaps, the inode table, at least one data block, and the
+        // super replica.
+        let min_group = 2 + itable_blocks + 2;
+        if params.blocks_per_group < min_group || params.blocks_per_group > MAX_PER_GROUP {
+            return Err(bad("blocks_per_group", params.blocks_per_group));
+        }
         let fs_blocks = if params.mirror_metadata {
             params.total_blocks / 2
         } else {
             params.total_blocks
         };
         let journal_super = 2;
-        let journal_start = 3;
+        let journal_start: u64 = 3;
         let journal_len = params.journal_blocks;
-        let cksum_start = journal_start + journal_len;
+        let cksum_start = journal_start
+            .checked_add(journal_len)
+            .ok_or(bad("journal_blocks", journal_len))?;
         // One 8-byte entry per device block (covering the whole device keeps
         // indexing trivial; unused when checksumming is off).
-        let cksum_len = (params.total_blocks * CKSUM_ENTRY).div_ceil(BLOCK_SIZE as u64);
-        let replica_log_start = cksum_start + cksum_len;
+        let cksum_len = params
+            .total_blocks
+            .checked_mul(CKSUM_ENTRY)
+            .ok_or(bad("total_blocks", params.total_blocks))?
+            .div_ceil(BLOCK_SIZE as u64);
         let replica_log_len = if params.mirror_metadata {
             params.journal_blocks
         } else {
             0
         };
-        let groups_start = replica_log_start + replica_log_len;
-        assert!(
-            groups_start + params.blocks_per_group <= fs_blocks,
-            "device too small for one block group"
-        );
+        let replica_log_start = cksum_start.checked_add(cksum_len);
+        let groups_start = replica_log_start.and_then(|r| r.checked_add(replica_log_len));
+        let needed = groups_start.and_then(|g| g.checked_add(params.blocks_per_group));
+        let (Some(replica_log_start), Some(groups_start), Some(needed)) =
+            (replica_log_start, groups_start, needed)
+        else {
+            return Err(bad("journal_blocks", journal_len));
+        };
+        if needed > fs_blocks {
+            return Err(LayoutError::TooSmall { fs_blocks, needed });
+        }
         let num_groups = (fs_blocks - groups_start) / params.blocks_per_group;
-        let itable_blocks = params.inodes_per_group.div_ceil(INODES_PER_BLOCK);
-        DiskLayout {
+        if num_groups > MAX_GROUPS {
+            return Err(LayoutError::TooManyGroups { groups: num_groups });
+        }
+        Ok(DiskLayout {
             params,
             journal_super,
             journal_start,
@@ -277,7 +369,19 @@ impl DiskLayout {
             num_groups,
             fs_blocks,
             itable_blocks,
+        })
+    }
+
+    /// [`Self::compute`] for a superblock read off a device of
+    /// `device_blocks` blocks: the geometry must also fit on the device.
+    pub fn for_device(params: Ext3Params, device_blocks: u64) -> Result<DiskLayout, LayoutError> {
+        if params.total_blocks > device_blocks {
+            return Err(LayoutError::ExceedsDevice {
+                total_blocks: params.total_blocks,
+                device_blocks,
+            });
         }
+        DiskLayout::compute(params)
     }
 
     /// The superblock address.
@@ -419,7 +523,7 @@ mod tests {
 
     #[test]
     fn small_layout_is_consistent() {
-        let l = DiskLayout::compute(Ext3Params::small());
+        let l = DiskLayout::compute(Ext3Params::small()).unwrap();
         assert_eq!(l.journal_super, 2);
         assert_eq!(l.journal_start, 3);
         assert_eq!(l.cksum_start, 3 + 256);
@@ -434,7 +538,7 @@ mod tests {
 
     #[test]
     fn inode_locations_do_not_collide() {
-        let l = DiskLayout::compute(Ext3Params::small());
+        let l = DiskLayout::compute(Ext3Params::small()).unwrap();
         let a = l.inode_location(1);
         let b = l.inode_location(2);
         let c = l.inode_location(33);
@@ -449,7 +553,7 @@ mod tests {
 
     #[test]
     fn cksum_location_covers_whole_device() {
-        let l = DiskLayout::compute(Ext3Params::small());
+        let l = DiskLayout::compute(Ext3Params::small()).unwrap();
         let (first, off0) = l.cksum_location(0);
         assert_eq!(first.0, l.cksum_start);
         assert_eq!(off0, 0);
@@ -459,7 +563,7 @@ mod tests {
 
     #[test]
     fn classify_static_matches_layout() {
-        let l = DiskLayout::compute(Ext3Params::small());
+        let l = DiskLayout::compute(Ext3Params::small()).unwrap();
         assert_eq!(l.classify_static(0), BlockType::Super);
         assert_eq!(l.classify_static(1), BlockType::GroupDesc);
         assert_eq!(l.classify_static(2), BlockType::JournalSuper);
@@ -477,7 +581,7 @@ mod tests {
     fn mirrored_layout_halves_fs_space() {
         let mut p = Ext3Params::small();
         p.mirror_metadata = true;
-        let l = DiskLayout::compute(p);
+        let l = DiskLayout::compute(p).unwrap();
         assert_eq!(l.fs_blocks, 2048);
         assert_eq!(l.replica_log_len, 256);
         assert_eq!(l.replica_of(5).0, 5 + 2048);
@@ -504,5 +608,53 @@ mod tests {
         assert!(BlockType::Dir.is_metadata());
         assert!(!BlockType::Data.is_metadata());
         assert!(!BlockType::Parity.is_metadata());
+    }
+
+    #[test]
+    fn impossible_geometry_is_an_error_not_a_panic() {
+        fn with(f: impl FnOnce(&mut Ext3Params)) -> Result<DiskLayout, LayoutError> {
+            let mut p = Ext3Params::small();
+            f(&mut p);
+            DiskLayout::compute(p)
+        }
+        assert!(matches!(
+            with(|p| p.total_blocks = 300),
+            Err(LayoutError::TooSmall { fs_blocks: 300, .. })
+        ));
+        assert!(matches!(
+            with(|p| p.total_blocks = u64::MAX),
+            Err(LayoutError::BadField {
+                field: "total_blocks",
+                ..
+            })
+        ));
+        for bpg in [0, 3, u64::MAX] {
+            assert_eq!(
+                with(|p| p.blocks_per_group = bpg).unwrap_err(),
+                LayoutError::BadField {
+                    field: "blocks_per_group",
+                    value: bpg,
+                },
+            );
+        }
+        assert!(with(|p| p.inodes_per_group = 0).is_err());
+        assert!(with(|p| p.journal_blocks = u64::MAX - 1).is_err());
+        let many = with(|p| {
+            p.total_blocks = 1 << 20;
+            p.blocks_per_group = 32;
+            p.inodes_per_group = 32;
+        });
+        assert!(matches!(many, Err(LayoutError::TooManyGroups { .. })));
+        let msg = with(|p| p.total_blocks = 300).unwrap_err().to_string();
+        assert!(msg.contains("too small"), "{msg}");
+        let small = Ext3Params::small();
+        assert!(DiskLayout::for_device(small, 4096).is_ok());
+        assert_eq!(
+            DiskLayout::for_device(small, 4095).unwrap_err(),
+            LayoutError::ExceedsDevice {
+                total_blocks: 4096,
+                device_blocks: 4095,
+            }
+        );
     }
 }

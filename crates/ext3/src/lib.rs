@@ -59,5 +59,5 @@ pub mod superblock;
 pub use fs::{Ext3Fs, Ext3Options};
 pub use fsck::Ext3Image;
 pub use iron::IronConfig;
-pub use layout::{BlockType, DiskLayout, Ext3Params};
+pub use layout::{BlockType, DiskLayout, Ext3Params, LayoutError};
 pub use superblock::Superblock;

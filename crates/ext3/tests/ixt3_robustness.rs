@@ -238,7 +238,7 @@ fn transactional_checksum_rejects_corrupt_journal_replay() {
 
         // "Crash", then corrupt a journal data block on the medium.
         let mut dev = v.into_fs().into_device();
-        let layout = iron_ext3::DiskLayout::compute(params);
+        let layout = iron_ext3::DiskLayout::compute(params).unwrap();
         // Find a journal-data block: scan the log for a block that is
         // neither a descriptor/commit/revoke (those carry magic).
         let mut jdata = None;

@@ -7,7 +7,7 @@
 //! image, which block-type rows the file system has, and how to mount it
 //! over a fault-armed device.
 
-use iron_blockdev::{BufferCache, CrashRecorder, MemDisk, RawAccess, RetryLayer};
+use iron_blockdev::{BlockDevice, BufferCache, CrashRecorder, MemDisk, RawAccess, RetryLayer};
 use iron_core::BlockTag;
 use iron_faultinject::FaultyDisk;
 use iron_vfs::{FsEnv, SpecificFs, Vfs, VfsError, VfsResult};
@@ -247,7 +247,12 @@ impl FsUnderTest for Ext3Adapter {
 
     fn fsck_issues(&self, dev: &MemDisk) -> Option<Vec<String>> {
         let sb = iron_ext3::Superblock::decode(&dev.peek(iron_core::BlockAddr(0)))?;
-        let layout = iron_ext3::DiskLayout::compute(sb.params());
+        // A geometry with no layout, or one that does not fit the device,
+        // is itself the finding: nothing it describes can be walked.
+        let layout = match iron_ext3::DiskLayout::for_device(sb.params(), dev.num_blocks()) {
+            Ok(l) => l,
+            Err(e) => return Some(vec![format!("geometry: {e}")]),
+        };
         let report = iron_ext3::fsck::check(dev, &layout);
         Some(report.issues.iter().map(|i| format!("{i:?}")).collect())
     }

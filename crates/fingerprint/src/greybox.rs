@@ -184,7 +184,7 @@ mod tests {
     fn greybox_finds_every_static_structure() {
         let mut dev = MemDisk::for_tests(4096);
         Ext3Fs::<MemDisk>::mkfs(&mut dev, Ext3Params::small()).unwrap();
-        let layout = iron_ext3::DiskLayout::compute(Ext3Params::small());
+        let layout = iron_ext3::DiskLayout::compute(Ext3Params::small()).unwrap();
         let map = classify_ext3(&dev, &layout);
         assert_eq!(map[&0], BlockType::Super);
         assert_eq!(map[&1], BlockType::GroupDesc);

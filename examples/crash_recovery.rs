@@ -32,7 +32,7 @@ fn crashed_image(tc: bool) -> MemDisk {
     let mut dev = v.into_fs().into_device(); // CRASH
 
     // Disk corruption strikes the journal while the machine is down.
-    let layout = DiskLayout::compute(params);
+    let layout = DiskLayout::compute(params).expect("valid geometry");
     for a in layout.journal_start..layout.journal_start + layout.journal_len {
         let b = dev.peek(BlockAddr(a));
         if !b.is_zeroed() && ironfs::ext3::journal::classify_log_block(&b).is_none() {
