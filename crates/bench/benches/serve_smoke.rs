@@ -5,8 +5,8 @@
 //! Before timing each width, the differential oracle runs once — the
 //! concurrent run must equal its serial replay (responses, namespace,
 //! bit-identical image). The timed body then measures serving alone on a
-//! long-lived mount, so the reported ops/sec is engine + lock manager +
-//! file system, not mkfs.
+//! long-lived mount, so the reported ops/sec is engine + file system,
+//! not mkfs.
 
 use iron_testkit::{black_box, BenchGroup};
 

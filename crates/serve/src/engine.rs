@@ -8,34 +8,28 @@
 //! one at a time from the shared pool ([`iron_core::exec::WorkerPool::shard_fine`]).
 //! For each request a worker:
 //!
-//! 1. expands the write payload (marshalling, outside every lock),
-//! 2. acquires the request's canonical lock set ([`crate::lock::lock_keys`]),
-//! 3. runs the request's file-system phases, each inside the engine's
-//!    single FS critical section (the models beneath are `&mut self` —
-//!    the paper's file systems are single-threaded kernels — so the FS
-//!    mutex *is* the storage stack; the lock manager above it is what
-//!    admits or serializes requests),
-//! 4. releases the locks after the response is recorded.
+//! 1. expands the write payload, outside the lock;
+//! 2. takes the FS mutex once, and inside it resolves the request's
+//!    paths, runs the operation and appends `(session, index)` to the
+//!    commit log;
+//! 3. releases the mutex, then digests any read data outside it.
 //!
-//! A request's **commit point** is the critical section that determines
-//! its result: the mutating call for namespace/data operations, the read
-//! itself for queries, or the first failing resolution. The engine
-//! appends `(session, index)` to a global commit log inside that critical
-//! section, producing a total order consistent with every session's
-//! program order.
+//! The models beneath are `&mut self` (the paper's file systems are
+//! single-threaded kernels), so the FS mutex *is* the storage stack, and
+//! one critical section per request is its **commit point**. Only the
+//! marshalling on either side runs in parallel.
 //!
 //! ## Why concurrent ≡ serial replay
 //!
-//! Resolution phases are read-only and touch only paths the request holds
-//! (at least) shared; any request that could invalidate them needs an
-//! exclusive key and is therefore ordered entirely before or after. So
-//! the interleaved execution is equivalent to executing each request
-//! atomically at its commit point — which is precisely what
-//! [`replay_serial`] does. The differential suites assert the equivalence
-//! (identical per-request responses, bit-identical disk image) at every
-//! thread count; that property is the serving layer's correctness oracle,
-//! in the same way cached==bare and parallel==sequential were for the
-//! cache and campaign engines.
+//! Each request runs atomically inside its critical section, and the
+//! commit log records those sections in the order they ran: a total order
+//! consistent with every session's program order. Re-executing the
+//! requests one at a time in that order is therefore the same execution,
+//! which is precisely what [`replay_serial`] does. The differential
+//! suites assert the equivalence (identical per-request responses,
+//! bit-identical disk image) at every thread count; that property is the
+//! serving layer's correctness oracle, in the same way cached==bare and
+//! parallel==sequential were for the cache and campaign engines.
 
 use std::sync::Mutex;
 
@@ -43,7 +37,6 @@ use iron_core::exec::WorkerPool;
 use iron_core::Errno;
 use iron_vfs::{FileType, SpecificFs, Vfs, VfsResult};
 
-use crate::lock::{lock_keys, LockManager};
 use crate::proto::{digest, payload, Reply, Request, Response};
 
 /// One simulated client: an id and its ordered request list.
@@ -73,16 +66,11 @@ pub struct CommitRecord {
 pub struct ServeOptions {
     /// Worker threads; `0` means one per hardware thread.
     pub threads: usize,
-    /// Hash shards in the lock table.
-    pub lock_shards: usize,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
-        ServeOptions {
-            threads: 1,
-            lock_shards: 64,
-        }
+        ServeOptions { threads: 1 }
     }
 }
 
@@ -119,12 +107,43 @@ struct Core<'a, F: SpecificFs> {
 }
 
 impl<F: SpecificFs> Core<'_, F> {
-    fn commit(&mut self, session: usize, index: usize) {
+    /// Run one request and append its commit record, both inside the
+    /// caller's single critical section.
+    fn commit(
+        &mut self,
+        session: usize,
+        index: usize,
+        req: &Request,
+        data: Option<&[u8]>,
+    ) -> VfsResult<Done> {
+        let done = run_request(self.vfs, req, data);
         self.log.push(CommitRecord { session, index });
+        done
     }
 }
 
-/// Resolve `path` to a non-directory inode (phase 1 of data operations).
+/// What a request produced inside the critical section: a finished
+/// reply, or read data still to be digested outside it (the digest is
+/// client-side marshalling, and holding the mutex for it costs
+/// throughput).
+enum Done {
+    Reply(Reply),
+    Read(Vec<u8>),
+}
+
+impl Done {
+    fn into_reply(self) -> Reply {
+        match self {
+            Done::Reply(r) => r,
+            Done::Read(bytes) => Reply::Data {
+                len: bytes.len(),
+                digest: digest(&bytes),
+            },
+        }
+    }
+}
+
+/// Resolve `path` to a non-directory inode.
 fn resolve_file<F: SpecificFs>(vfs: &mut Vfs<F>, path: &str) -> VfsResult<u64> {
     let ino = vfs.resolve(path)?;
     if vfs.fs_mut().getattr(ino)?.ftype == FileType::Directory {
@@ -133,165 +152,76 @@ fn resolve_file<F: SpecificFs>(vfs: &mut Vfs<F>, path: &str) -> VfsResult<u64> {
     Ok(ino)
 }
 
-/// Execute one request against the shared core. Multi-phase requests
-/// release the core between resolution and operation — the caller's path
-/// locks are what keep the gap safe. Exactly one phase commits.
+/// Execute one request: resolve its paths, then run the operation. The
+/// caller holds the FS critical section around the whole call.
 fn run_request<F: SpecificFs>(
-    core: &Mutex<Core<'_, F>>,
-    session: usize,
-    index: usize,
+    vfs: &mut Vfs<F>,
     req: &Request,
     data: Option<&[u8]>,
-) -> Response {
-    // Phase-1 helper: commit-and-return on resolution failure.
-    macro_rules! phase1 {
-        ($c:ident, $expr:expr) => {
-            match $expr {
-                Ok(v) => v,
-                Err(e) => {
-                    $c.commit(session, index);
-                    return Err(e);
-                }
-            }
-        };
-    }
-
-    match req {
-        Request::Open { path } => {
-            let mut c = core.lock().unwrap();
-            let r = c.vfs.resolve(path).map(|ino| Reply::Handle { ino });
-            c.commit(session, index);
-            r
-        }
-        Request::Stat { path } => {
-            let mut c = core.lock().unwrap();
-            let r = c.vfs.stat(path).map(Reply::Attr);
-            c.commit(session, index);
-            r
-        }
-        Request::Readdir { path } => {
-            let mut c = core.lock().unwrap();
-            // "." and ".." are filtered so replies are identical across
-            // file systems that do and don't synthesize dot entries.
-            let r = c.vfs.readdir(path).map(|es| {
-                Reply::Entries(
-                    es.into_iter()
-                        .map(|e| e.name)
-                        .filter(|n| n != "." && n != "..")
-                        .collect(),
-                )
-            });
-            c.commit(session, index);
-            r
-        }
+) -> VfsResult<Done> {
+    let reply = match req {
+        Request::Open { path } => Reply::Handle {
+            ino: vfs.resolve(path)?,
+        },
+        Request::Stat { path } => Reply::Attr(vfs.stat(path)?),
+        // "." and ".." are filtered so replies are identical across file
+        // systems that do and don't synthesize dot entries.
+        Request::Readdir { path } => Reply::Entries(
+            vfs.readdir(path)?
+                .into_iter()
+                .map(|e| e.name)
+                .filter(|n| n != "." && n != "..")
+                .collect(),
+        ),
         Request::Sync => {
-            let mut c = core.lock().unwrap();
-            let r = c.vfs.sync().map(|()| Reply::Unit);
-            c.commit(session, index);
-            r
+            vfs.sync()?;
+            Reply::Unit
         }
         Request::Create { path, mode } => {
-            let (dir, name) = {
-                let mut c = core.lock().unwrap();
-                phase1!(c, c.vfs.resolve_parent(path))
-            };
-            let mut c = core.lock().unwrap();
-            let r = c
-                .vfs
-                .fs_mut()
-                .create(dir, &name, *mode)
-                .map(|ino| Reply::Handle { ino });
-            c.commit(session, index);
-            r
+            let (dir, name) = vfs.resolve_parent(path)?;
+            Reply::Handle {
+                ino: vfs.fs_mut().create(dir, &name, *mode)?,
+            }
         }
         Request::Mkdir { path, mode } => {
-            let (dir, name) = {
-                let mut c = core.lock().unwrap();
-                phase1!(c, c.vfs.resolve_parent(path))
-            };
-            let mut c = core.lock().unwrap();
-            let r = c
-                .vfs
-                .fs_mut()
-                .mkdir(dir, &name, *mode)
-                .map(|ino| Reply::Handle { ino });
-            c.commit(session, index);
-            r
+            let (dir, name) = vfs.resolve_parent(path)?;
+            Reply::Handle {
+                ino: vfs.fs_mut().mkdir(dir, &name, *mode)?,
+            }
         }
         Request::Unlink { path } => {
-            let (dir, name) = {
-                let mut c = core.lock().unwrap();
-                phase1!(c, c.vfs.resolve_parent(path))
-            };
-            let mut c = core.lock().unwrap();
-            let r = c.vfs.fs_mut().unlink(dir, &name).map(|()| Reply::Unit);
-            c.commit(session, index);
-            r
+            let (dir, name) = vfs.resolve_parent(path)?;
+            vfs.fs_mut().unlink(dir, &name)?;
+            Reply::Unit
         }
         Request::Rmdir { path } => {
-            let (dir, name) = {
-                let mut c = core.lock().unwrap();
-                phase1!(c, c.vfs.resolve_parent(path))
-            };
-            let mut c = core.lock().unwrap();
-            let r = c.vfs.fs_mut().rmdir(dir, &name).map(|()| Reply::Unit);
-            c.commit(session, index);
-            r
+            let (dir, name) = vfs.resolve_parent(path)?;
+            vfs.fs_mut().rmdir(dir, &name)?;
+            Reply::Unit
         }
         Request::Rename { from, to } => {
-            {
-                let mut c = core.lock().unwrap();
-                phase1!(c, c.vfs.resolve_nofollow(from));
-            }
-            let mut c = core.lock().unwrap();
-            let r = c.vfs.rename(from, to).map(|()| Reply::Unit);
-            c.commit(session, index);
-            r
+            vfs.resolve_nofollow(from)?;
+            vfs.rename(from, to)?;
+            Reply::Unit
         }
         Request::Read { path, off, len } => {
-            let ino = {
-                let mut c = core.lock().unwrap();
-                phase1!(c, resolve_file(c.vfs, path))
-            };
-            let got = {
-                let mut c = core.lock().unwrap();
-                let r = c.vfs.fs_mut().read(ino, *off, *len);
-                c.commit(session, index);
-                r
-            };
-            // Digest outside the critical section: unmarshalling is the
-            // client-facing thread's job.
-            got.map(|bytes| Reply::Data {
-                len: bytes.len(),
-                digest: digest(&bytes),
-            })
+            let ino = resolve_file(vfs, path)?;
+            return Ok(Done::Read(vfs.fs_mut().read(ino, *off, *len)?));
         }
         Request::Write { path, off, .. } => {
             let bytes = data.expect("write payload expanded by caller");
-            let ino = {
-                let mut c = core.lock().unwrap();
-                phase1!(c, resolve_file(c.vfs, path))
-            };
-            let mut c = core.lock().unwrap();
-            let r = c
-                .vfs
-                .fs_mut()
-                .write(ino, *off, bytes)
-                .map(|n| Reply::Written { n });
-            c.commit(session, index);
-            r
+            let ino = resolve_file(vfs, path)?;
+            Reply::Written {
+                n: vfs.fs_mut().write(ino, *off, bytes)?,
+            }
         }
         Request::Fsync { path } => {
-            let ino = {
-                let mut c = core.lock().unwrap();
-                phase1!(c, c.vfs.resolve(path))
-            };
-            let mut c = core.lock().unwrap();
-            let r = c.vfs.fs_mut().fsync(ino).map(|()| Reply::Unit);
-            c.commit(session, index);
-            r
+            let ino = vfs.resolve(path)?;
+            vfs.fs_mut().fsync(ino)?;
+            Reply::Unit
         }
-    }
+    };
+    Ok(Done::Reply(reply))
 }
 
 /// Check that `log` is a valid commit order for `sessions`: one record
@@ -346,7 +276,6 @@ pub fn serve<F: SpecificFs + Send>(
     } else {
         WorkerPool::new(opts.threads)
     };
-    let locks = LockManager::new(opts.lock_shards);
     let core = Mutex::new(Core {
         vfs,
         log: Vec::new(),
@@ -358,9 +287,11 @@ pub fn serve<F: SpecificFs + Send>(
             let mut responses = Vec::with_capacity(session.requests.len());
             for (index, req) in session.requests.iter().enumerate() {
                 let data = expand_payload(req);
-                let keys = lock_keys(req);
-                let _guard = locks.acquire(&keys);
-                responses.push(run_request(&core, session.id, index, req, data.as_deref()));
+                let done = core
+                    .lock()
+                    .expect("no request panicked inside the FS critical section")
+                    .commit(session.id, index, req, data.as_deref());
+                responses.push(done.map(Done::into_reply));
             }
             acc.push((session.id, responses));
         },
@@ -368,7 +299,10 @@ pub fn serve<F: SpecificFs + Send>(
     );
     collected.sort_by_key(|(id, _)| *id);
 
-    let log = core.into_inner().unwrap().log;
+    let log = core
+        .into_inner()
+        .expect("no request panicked inside the FS critical section")
+        .log;
     debug_assert!(
         validate_commit_log(sessions, &log).is_ok(),
         "engine produced an invalid commit log"
@@ -393,10 +327,6 @@ pub fn replay_serial<F: SpecificFs>(
     if let Err(e) = validate_commit_log(sessions, commit_log) {
         panic!("invalid commit log: {e}");
     }
-    let core = Mutex::new(Core {
-        vfs,
-        log: Vec::new(),
-    });
     let mut responses: Vec<Vec<Option<Response>>> = sessions
         .iter()
         .map(|s| vec![None; s.requests.len()])
@@ -404,14 +334,9 @@ pub fn replay_serial<F: SpecificFs>(
     for rec in commit_log {
         let req = &sessions[rec.session].requests[rec.index];
         let data = expand_payload(req);
-        let resp = run_request(&core, rec.session, rec.index, req, data.as_deref());
-        responses[rec.session][rec.index] = Some(resp);
+        let done = run_request(vfs, req, data.as_deref());
+        responses[rec.session][rec.index] = Some(done.map(Done::into_reply));
     }
-    let log = core.into_inner().unwrap().log;
-    assert_eq!(
-        log, commit_log,
-        "serial replay must commit in the given order"
-    );
     responses
         .into_iter()
         .map(|rs| {

@@ -11,9 +11,10 @@
 //! digest rather than the data so traces stay small while remaining
 //! sensitive to every byte.
 //!
-//! Symlinks are deliberately absent: the lock manager keys on lexical
-//! paths ([`iron_vfs::paths`]), and a symlink would let a request touch
-//! paths outside its lexical lock set.
+//! Symlinks are not part of the protocol. Nothing in the engine depends
+//! on their absence: a request resolves its paths inside the same
+//! critical section that runs it, so `Symlink`/`Readlink` requests would
+//! need only new variants here.
 
 use iron_vfs::{InodeAttr, VfsError};
 

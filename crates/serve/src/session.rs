@@ -3,9 +3,8 @@
 //! Sessions are generated from a seed so every differential run — and
 //! every rerun of a failing case — sees the same traffic. The namespace
 //! is deliberately small and shared: a handful of directories and shared
-//! files that many sessions hit (conflicts exercise the lock manager),
-//! plus per-session private files (non-conflicting traffic exercises
-//! actual concurrency).
+//! files that many sessions hit (conflicts make the commit order matter),
+//! plus per-session private files (traffic whose order does not).
 
 use crate::engine::{replay_serial, CommitRecord, Session};
 use crate::proto::{Reply, Request};
@@ -119,9 +118,11 @@ pub fn prepare<F: SpecificFs>(vfs: &mut Vfs<F>, spec: &WorkloadSpec) {
 ///
 /// The mix is chosen to keep conflicts common without making every
 /// request a conflict: shared-file writes and renames collide across
-/// sessions, private-file traffic runs parallel, and occasional
+/// sessions, private-file traffic does not, and occasional
 /// `Sync`/`Readdir`/`Mkdir`/`Rmdir` sprinkle in whole-fs and
-/// directory-level locking.
+/// directory-level operations. Renames move a private file over a shared
+/// one (the write-then-rename "atomic save"), so every shared file
+/// `/s0..` exists from setup to the end of the run.
 pub fn generate(spec: &WorkloadSpec) -> Vec<Session> {
     (0..spec.sessions)
         .map(|sid| {
@@ -163,8 +164,8 @@ pub fn generate(spec: &WorkloadSpec) -> Vec<Session> {
                         },
                         71..=76 => Request::Readdir { path: spec.dir(r) },
                         77..=82 => Request::Rename {
-                            from: spec.shared(r),
-                            to: spec.shared(r.wrapping_add(1)),
+                            from: spec.private(sid, r),
+                            to: spec.shared(r),
                         },
                         83..=87 => Request::Mkdir {
                             path: format!("{}/sub{sid}", spec.dir(r)),
@@ -237,6 +238,23 @@ mod tests {
             .filter(|r| matches!(r, Request::Rename { .. }))
             .count();
         assert!(shared_writes > 0 && private_writes > 0 && renames > 0);
+    }
+
+    #[test]
+    fn shared_files_survive_a_long_serial_run() {
+        use crate::engine::{serve, ServeOptions};
+        use iron_vfs::ramfs::RamFs;
+        let spec = WorkloadSpec {
+            sessions: 32,
+            requests_per_session: 2048,
+            ..Default::default()
+        };
+        let mut v = Vfs::new(RamFs::new());
+        prepare(&mut v, &spec);
+        serve(&mut v, &generate(&spec), &ServeOptions::default());
+        for s in 0..spec.shared_files {
+            assert!(v.stat(&format!("/s{s}")).is_ok(), "/s{s} is gone");
+        }
     }
 
     #[test]

@@ -26,7 +26,6 @@
 
 pub mod env;
 pub mod fs;
-pub mod paths;
 pub mod ramfs;
 pub mod types;
 pub mod vfs;

@@ -20,8 +20,8 @@
 //! * [`fingerprint`] — the failure-policy fingerprinting framework
 //!   (workloads, campaigns, inference, Figure 2/3 rendering);
 //! * [`serve`] — the concurrent multi-client serving layer (request
-//!   protocol, sharded path-lock manager, commit-order serial-replay
-//!   oracle);
+//!   protocol, one FS critical section per request, commit-order
+//!   serial-replay oracle);
 //! * [`cluster`] — replicated multi-disk volumes above the block layer
 //!   (write fan-out, primary/round-robin/quorum read policies,
 //!   peer-driven repair of divergent replicas);
@@ -116,7 +116,7 @@ pub mod prelude {
     };
 
     pub use iron_serve::{
-        generate, prepare, replay_serial, serve, LockManager, Reply, Request, ServeOptions,
-        ServeReport, Session, WorkloadSpec,
+        generate, prepare, replay_serial, serve, Reply, Request, ServeOptions, ServeReport,
+        Session, WorkloadSpec,
     };
 }
