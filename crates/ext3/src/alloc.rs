@@ -28,20 +28,40 @@ pub fn bit_clear(b: &mut Block, i: u64) {
 }
 
 /// Find the first zero bit below `limit`, preferring bits at or after
-/// `hint` (simple locality heuristic, like ext3's goal blocks).
+/// `hint` (simple locality heuristic, like ext3's goal blocks): scan from
+/// `hint` up to `limit`, then wrap around to the bits below `hint`.
 pub fn find_free(b: &Block, limit: u64, hint: u64) -> Option<u64> {
     let start = hint.min(limit);
-    (start..limit).chain(0..start).find(|&i| !bit_test(b, i))
+    first_zero(b, start, limit).or_else(|| first_zero(b, 0, start))
 }
 
-/// Count zero bits below `limit`.
-pub fn count_free(b: &Block, limit: u64) -> u64 {
-    (0..limit).filter(|&i| !bit_test(b, i)).count() as u64
+/// The first zero bit in `lo..hi`, scanning a 64-bit little-endian word
+/// at a time (bit `i` is bit `i % 8` of byte `i / 8`).
+fn first_zero(b: &Block, lo: u64, hi: u64) -> Option<u64> {
+    let mut i = lo;
+    while i < hi {
+        let word = b.get_u64((i / 64 * 8) as usize);
+        let free = !word >> (i % 64);
+        if free != 0 {
+            let bit = i + u64::from(free.trailing_zeros());
+            return (bit < hi).then_some(bit);
+        }
+        i = (i / 64 + 1) * 64;
+    }
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iron_core::BLOCK_SIZE;
+    use iron_testkit::{check, gen, Config};
+
+    /// The bit-by-bit scan `find_free` must agree with.
+    fn model_find_free(b: &Block, limit: u64, hint: u64) -> Option<u64> {
+        let start = hint.min(limit);
+        (start..limit).chain(0..start).find(|&i| !bit_test(b, i))
+    }
 
     #[test]
     fn set_test_clear() {
@@ -82,15 +102,67 @@ mod tests {
             bit_set(&mut full, i);
         }
         assert_eq!(find_free(&full, 64, 0), None);
+        // A free bit just above a limit that ends mid-word is not
+        // returned, whatever the hint.
+        let mut tail = Block::zeroed();
+        for i in 0..100 {
+            bit_set(&mut tail, i);
+        }
+        assert_eq!(find_free(&tail, 100, 0), None);
+        assert_eq!(find_free(&tail, 100, 99), None);
+        assert_eq!(find_free(&tail, 101, 50), Some(100));
+        // A hint at or past the limit scans from the start.
+        assert_eq!(find_free(&b, 1000, 1000), Some(10));
+        assert_eq!(find_free(&b, 1000, 5000), Some(10));
+        // Wrap-around past a full tail whose limit ends mid-word.
+        let mut d = Block::filled(0xFF);
+        bit_clear(&mut d, 70);
+        bit_clear(&mut d, 1000);
+        assert_eq!(find_free(&d, 999, 71), Some(70));
+        assert_eq!(find_free(&d, 1001, 71), Some(1000));
     }
 
     #[test]
-    fn count_free_counts() {
-        let mut b = Block::zeroed();
-        assert_eq!(count_free(&b, 100), 100);
-        bit_set(&mut b, 3);
-        bit_set(&mut b, 99);
-        assert_eq!(count_free(&b, 100), 98);
-        assert_eq!(count_free(&b, 3), 3, "limit excludes later bits");
+    fn find_free_matches_bitwise_model() {
+        // Mostly-full bitmaps with a few free bits (some just above the
+        // limit), or random bytes; limits on and off 64-bit boundaries;
+        // hints below, at and past the limit.
+        let input = gen::from_fn(|rng| {
+            let bits = (BLOCK_SIZE * 8) as u64;
+            let limit = match rng.below(3) {
+                0 => rng.below(bits / 64 + 1) * 64,
+                1 => rng.below(bits + 1),
+                _ => rng.below(200),
+            };
+            let mut bytes = vec![0xFFu8; BLOCK_SIZE];
+            if rng.chance(1, 4) {
+                rng.fill(&mut bytes);
+            } else {
+                for _ in 0..rng.below(6) {
+                    let bit = match rng.below(3) {
+                        0 => limit + rng.below(64),
+                        _ => rng.below(bits),
+                    };
+                    if bit < bits {
+                        bytes[(bit / 8) as usize] &= !(1u8 << (bit % 8));
+                    }
+                }
+            }
+            let hint = rng.below(limit + 130);
+            (bytes, limit, hint)
+        });
+        check(
+            "find_free_matches_bitwise_model",
+            Config::cases(512),
+            &input,
+            |(bytes, limit, hint)| {
+                let b = Block::from_bytes(bytes);
+                assert_eq!(
+                    find_free(&b, *limit, *hint),
+                    model_find_free(&b, *limit, *hint),
+                    "limit {limit}, hint {hint}"
+                );
+            },
+        );
     }
 }

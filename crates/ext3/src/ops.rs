@@ -480,15 +480,14 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             let g = (hint_group + i) % ng;
             let bm_addr = self.layout().data_bitmap(g).0;
             let mut bm = self.read_meta(bm_addr, BlockType::DataBitmap)?;
-            let data_lo = self.layout().data_start(g) - self.layout().group_base(g);
+            let base = self.layout().group_base(g);
+            let data_lo = self.layout().data_start(g) - base;
             // Allocate against the committed bitmap state: bits freed by
             // not-yet-committed transactions are still busy (see
             // `uncommitted_frees`).
             let mut view = bm.clone();
-            for &a in &self.uncommitted_frees {
-                if self.layout().group_of_block(a) == Some(g) {
-                    alloc::bit_set(&mut view, a - self.layout().group_base(g));
-                }
+            for &a in self.uncommitted_frees.range(base..base + bpg) {
+                alloc::bit_set(&mut view, a - base);
             }
             if let Some(bit) = alloc::find_free(&view, bpg, data_lo) {
                 alloc::bit_set(&mut bm, bit);
@@ -498,7 +497,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                     gd.0 = gd.0.saturating_sub(1);
                 }
                 self.write_counters();
-                return Ok(self.layout().group_base(g) + bit);
+                return Ok(base + bit);
             }
         }
         Err(Errno::ENOSPC.into())
